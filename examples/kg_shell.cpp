@@ -397,31 +397,10 @@ class Shell {
                   response.plan.ToString().c_str());
     }
     for (const PatternDecision& d : response.diagnostics.decisions) {
-      std::printf("  q%zu: %s E_Q'(1)=%s -> %s", d.pattern_index,
+      std::printf("  q%zu: %s E_Q'(1)=%s -> %s\n", d.pattern_index,
                   d.has_relaxations ? "has relaxations," : "no relaxations,",
                   DoubleToString(d.eq_prime_top, 3).c_str(),
                   d.relax ? "RELAX" : "join group");
-      if (d.has_relaxations) {
-        std::printf("   (confidence %s%s)",
-                    DoubleToString(d.confidence, 3).c_str(),
-                    d.bucket_disagreement ? ", below bucket resolution" : "");
-      }
-      std::printf("\n");
-    }
-    // Speculation preview: the plan-level confidence is the least
-    // confident contested decision; an engine with speculate_threshold
-    // above it would race the runner-up (that decision flipped).
-    const PlanDiagnostics& diag = response.diagnostics;
-    if (strategy == Strategy::kSpecQp && diag.has_runner_up) {
-      std::printf(
-          "  plan confidence %s (least confident: q%d); race candidates:\n"
-          "    primary   %s   est. cost %s\n"
-          "    runner-up %s   est. cost %s\n",
-          DoubleToString(diag.plan_confidence, 3).c_str(),
-          diag.least_confident_pattern, response.plan.ToString().c_str(),
-          DoubleToString(diag.primary_cost_estimate, 0).c_str(),
-          diag.runner_up.ToString().c_str(),
-          DoubleToString(diag.runner_up_cost_estimate, 0).c_str());
     }
   }
 

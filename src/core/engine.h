@@ -17,7 +17,6 @@
 #include "core/planner.h"
 #include "core/query_plan.h"
 #include "core/request.h"
-#include "core/speculation.h"
 #include "query/query.h"
 #include "rdf/mmap_store.h"
 #include "rdf/posting_list.h"
@@ -76,31 +75,6 @@ struct EngineOptions {
   // cross-request batching off (every Submit dispatches alone).
   size_t admission_max_batch = 16;
   double admission_max_delay_ms = 2.0;
-  // Speculative plan racing (core/speculation.h): when PLANGEN's
-  // plan-level confidence falls below this threshold, the primary plan and
-  // the runner-up race on the engine pool and the first usable result
-  // wins. 0 (default) disables racing; confidence lives in [0, 1], so any
-  // threshold > 1 forces a race whenever a runner-up exists. Requires
-  // num_threads >= 2 (a race needs a pool to share); answers are identical
-  // with racing on or off — the certificate gate makes the runner-up's
-  // result usable only when it provably matches the primary's.
-  double speculate_threshold = 0.0;
-  // Mid-query re-planning: once a leaf operator has emitted more than this
-  // factor times its estimated cardinality, the (serial) execution stops,
-  // re-orders the plan by actual posting sizes, and restarts on the warm
-  // caches — at most once per execution. Values <= 1 disable adaptivity.
-  double replan_divergence_factor = 0.0;
-  // Cadence of the divergence checkpoints, in interrupt polls (roughly a
-  // small multiple of rows pulled).
-  uint64_t replan_check_rows = 4096;
-  // Estimate-calibration loop (stats/calibration.h): path of a correction
-  // table fitted by scripts/fit_estimator_correction.py, loaded into the
-  // statistics catalog at construction (empty = uncalibrated; a missing
-  // file is treated as empty). Every execution also appends to the
-  // engine's in-memory CalibrationLog, bounded by calibration_log_capacity
-  // records per kind.
-  std::string calibration_path;
-  size_t calibration_log_capacity = 4096;
   // Engine::OpenFromPath only: memory-map v2/v3 store files (zero-copy
   // MmapStore view, O(ms) open) instead of parsing them into an owned
   // store. v1 files always parse. Answers are identical either way; only
@@ -162,9 +136,9 @@ struct EngineOptions {
 // max-size or max-delay, EngineOptions::admission_*) that dispatch through
 // the batch executor, so online traffic gets the shared-scan amortisation
 // automatically. Pre-assembled batches go through BatchExecutor directly
-// (core/batch_executor.h). The legacy Execute/ExecuteText/ExecuteBatch/
-// ExecuteTextBatch wrappers have been removed; non-Submit entry points
-// must not run concurrently with anything else on the same engine.
+// (core/batch_executor.h). The other entry points (Explain, Warm,
+// kImmediate Submit, BatchExecutor) must not run concurrently with anything
+// else on the same engine.
 class Engine {
  public:
   // Per-query result record of the batch layer (BatchExecutor, admission
@@ -228,7 +202,7 @@ class Engine {
   // window has been dispatched. Thread-safe. With
   // QueryRequest::Admission::kImmediate the request executes on the
   // calling thread and the returned future is already ready — the
-  // lowest-latency path, subject to the legacy single-caller contract.
+  // lowest-latency path, subject to the single-caller contract.
   std::future<QueryResponse> Submit(QueryRequest request);
 
   // Plans `request` without executing it: the response carries the plan,
@@ -241,10 +215,6 @@ class Engine {
   // exposed for Flush() and its Stats counters.
   AdmissionController& admission();
 
-  // DEPRECATED: thin wrapper over Explain (kept for planner-only studies).
-  QueryPlan PlanOnly(const Query& query, size_t k,
-                     PlanDiagnostics* diagnostics = nullptr);
-
   // Pre-materialises posting lists and statistics for a query and its
   // relaxations — the paper's warm-cache setting (section 4.4) separates
   // this cost from query runtimes.
@@ -254,10 +224,6 @@ class Engine {
   const RelaxationIndex& rules() const { return *rules_; }
   PostingListCache& postings() { return postings_; }
   StatisticsCatalog& catalog() { return catalog_; }
-  // The engine's calibration log: every completed execution appends its
-  // (estimate, actual) observations here; bench runs dump it into their
-  // --json artifacts for scripts/fit_estimator_correction.py.
-  const CalibrationLog& calibration_log() const { return calibration_log_; }
   SelectivityEstimator& selectivity() { return selectivity_; }
   const EngineOptions& options() const { return options_; }
   // Resolved execution concurrency (>= 1); the pool is shared by every
@@ -265,11 +231,10 @@ class Engine {
   int num_threads() const { return num_threads_; }
 
  private:
-  friend class BatchExecutor;       // drives planner_/executor_/pool_ per batch
+  friend class BatchExecutor;       // drives PlanFor/executor_/pool_ per batch
   friend class AdmissionController; // dispatches windows on its own thread
 
-  // The synchronous unified execution path shared by Submit's immediate
-  // mode and the legacy wrappers: resolve (parse if needed), run the
+  // Submit's immediate mode: resolve (parse if needed), run the
   // submit-time checks, plan, execute with the request's interrupt and
   // overrides, and translate an abort into the terminal status.
   QueryResponse ExecuteRequest(QueryRequest request);
@@ -277,6 +242,11 @@ class Engine {
   // carries the request echo). `interrupt` may be null.
   void RunQuery(const Query& query, const QueryRequest& request,
                 const ExecInterrupt* interrupt, QueryResponse* response);
+  // The plan `strategy` executes for `query`: PLANGEN's for kSpecQp (which
+  // also fills `diagnostics`), the fixed TriniT or no-relaxation plan
+  // otherwise. Touches the planner memos (single-caller contract).
+  QueryPlan PlanFor(const Query& query, size_t k, Strategy strategy,
+                    PlanDiagnostics* diagnostics);
 
   // --- fault-tolerant serving (docs/ARCHITECTURE.md "Failure model") ------
   // Run before execution: sweeps latched mapping faults on a sharded
@@ -306,8 +276,6 @@ class Engine {
   ExpectedScoreEstimator estimator_;
   Planner planner_;
   PlanExecutor executor_;
-  SpeculativeExecutor speculative_;
-  CalibrationLog calibration_log_;
 
   // Highest store fault epoch this engine has reconciled its caches with
   // (posting lists + statistics built against a retired shard set are

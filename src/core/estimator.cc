@@ -1,8 +1,5 @@
 #include "core/estimator.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "stats/convolution.h"
 #include "stats/grid_pdf.h"
 #include "stats/order_statistics.h"
@@ -25,38 +22,6 @@ ExpectedScoreEstimator::ExpectedScoreEstimator(
       grid_delta_(grid_delta) {
   SPECQP_CHECK(catalog_ != nullptr && selectivity_ != nullptr);
   SPECQP_CHECK(grid_delta_ > 0.0);
-}
-
-ExpectedScoreEstimator::DecisionConfidence
-ExpectedScoreEstimator::ComputeConfidence(const Estimate& original,
-                                          double eq_prime_top, double eq_k) {
-  DecisionConfidence confidence;
-  const double hi = std::max(eq_prime_top, eq_k);
-  if (hi <= 0.0) {
-    // Both sides expect nothing: the (non-)relax decision is vacuous.
-    confidence.margin = 1.0;
-    return confidence;
-  }
-  confidence.margin = std::abs(eq_prime_top - eq_k) / hi;
-
-  // Bucket disagreement: when the original query's model is the two-bucket
-  // histogram and both compared values land in the same bucket, the margin
-  // rests on sub-bucket interpolation the model cannot resolve — flag the
-  // decision as below model resolution.
-  if (!original.empty()) {
-    const auto* two_bucket =
-        dynamic_cast<const TwoBucketHistogram*>(original.distribution.get());
-    if (two_bucket != nullptr) {
-      const double sigma = two_bucket->sigma_r();
-      confidence.bucket_disagreement =
-          (eq_prime_top >= sigma) == (eq_k >= sigma);
-    }
-  }
-  return confidence;
-}
-
-double ExpectedScoreEstimator::PatternCardinality(const PatternKey& key) {
-  return static_cast<double>(catalog_->GetStats(key).m);
 }
 
 ExpectedScoreEstimator::Estimate ExpectedScoreEstimator::EstimateQuery(

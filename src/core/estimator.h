@@ -55,34 +55,6 @@ class ExpectedScoreEstimator {
   Estimate EstimateQuery(const Query& query,
                          const std::vector<double>& weights = {});
 
-  // Per-decision confidence of one PLANGEN comparison E_Q'(1) vs E_Q(k).
-  struct DecisionConfidence {
-    // Normalised margin |eq_prime_top - eq_k| / max(eq_prime_top, eq_k),
-    // in [0, 1]. 1.0 when both are zero (nothing to separate).
-    double margin = 1.0;
-    // True when both compared values fall inside the same bucket of the
-    // original query's two-bucket score model: the decision then hinges on
-    // sub-bucket interpolation the histogram cannot actually resolve.
-    bool bucket_disagreement = false;
-
-    // The scalar the speculation threshold is compared against: the margin,
-    // halved when the comparison sits below the model's bucket resolution.
-    double Confidence() const {
-      return bucket_disagreement ? margin * 0.5 : margin;
-    }
-  };
-
-  // `original` is the estimate of the unrelaxed query whose model bucketing
-  // is consulted for the disagreement flag (may be empty).
-  static DecisionConfidence ComputeConfidence(const Estimate& original,
-                                              double eq_prime_top,
-                                              double eq_k);
-
-  // The catalog's estimated match count m for one pattern (after any
-  // calibration correction) — the unit of the planner's per-plan read-cost
-  // estimates and of the adaptive executor's divergence checkpoints.
-  double PatternCardinality(const PatternKey& key);
-
   Model model() const { return model_; }
 
  private:

@@ -43,35 +43,12 @@ struct PatternDecision {
   bool has_relaxations = false;
   double eq_prime_top = 0.0;  // E_Q'(1): expected best score via top rule
   bool relax = false;         // the prediction
-  // How decisively E_Q'(1) and E_Q(k) were separated: the normalised
-  // margin |E_Q'(1) - E_Q(k)| / max(E_Q'(1), E_Q(k)) in [0, 1], halved
-  // when both values land in the same bucket of the original query's
-  // two-bucket model (the comparison is then below the model's
-  // resolution). 1.0 for patterns without relaxations — there is nothing
-  // to be wrong about.
-  double confidence = 1.0;
-  bool bucket_disagreement = false;  // compared-below-model-resolution flag
 };
 
 struct PlanDiagnostics {
   double cardinality_estimate = 0.0;  // n for the original query
   double eq_k = 0.0;                  // E_Q(k)
   std::vector<PatternDecision> decisions;
-
-  // Plan-level confidence: the minimum per-decision confidence over
-  // decisions that had relaxations to speculate about (1.0 when none).
-  // When a runner-up exists it is the primary plan with the least
-  // confident decision flipped — the candidate a speculative race executes
-  // alongside the primary (EngineOptions::speculate_threshold).
-  double plan_confidence = 1.0;
-  int least_confident_pattern = -1;  // -1 = no contested decision
-  bool has_runner_up = false;
-  QueryPlan runner_up;
-  // Estimated read cost of each candidate: summed estimated cardinality m
-  // over every posting list the plan touches (join-group scans, singleton
-  // scans plus their relaxation and chain-hop lists).
-  double primary_cost_estimate = 0.0;
-  double runner_up_cost_estimate = 0.0;
 };
 
 }  // namespace specqp

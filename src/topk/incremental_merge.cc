@@ -59,7 +59,6 @@ bool IncrementalMerge::Next(ScoredRow* out) {
       continue;  // a lower-scored derivation of an already-emitted answer
     }
     ++stats_->merge_rows;
-    ++rows_emitted_;
     *out = std::move(row);
     return true;
   }

@@ -144,7 +144,6 @@ bool RankJoin::Next(ScoredRow* out) {
     if (!queue_.empty() && queue_.top().score > threshold + kEps) {
       *out = queue_.top();
       queue_.pop();
-      ++rows_emitted_;
       return true;
     }
     if (!Advance()) {
@@ -152,7 +151,6 @@ bool RankJoin::Next(ScoredRow* out) {
       if (queue_.empty()) return false;
       *out = queue_.top();
       queue_.pop();
-      ++rows_emitted_;
       return true;
     }
   }

@@ -58,7 +58,6 @@ class RankJoin final : public ScoredRowIterator {
   bool Next(ScoredRow* out) override;
   double UpperBound() const override;
   void Discard() override;
-  uint64_t RowsEmitted() const override { return rows_emitted_; }
 
  private:
   using JoinKey = std::vector<TermId>;
@@ -89,7 +88,6 @@ class RankJoin final : public ScoredRowIterator {
   double left_top_ = 0.0;
   double right_top_ = 0.0;
   bool pull_left_next_ = true;  // tie-breaker for alternating pulls
-  uint64_t rows_emitted_ = 0;
 
   struct QueueOrder {
     // std::priority_queue keeps the *greatest* element (per comparator) on

@@ -290,9 +290,11 @@ TEST(ChainPlannerTest, SparsePatternWithOnlyChainRuleGetsRelaxed) {
   Engine engine(&fx.store, &fx.rules);
   // k=3 but "plays guitar" has a single original answer; the chain rule is
   // the only relaxation and must be chosen.
-  PlanDiagnostics diag;
-  const QueryPlan plan = engine.PlanOnly(fx.PlaysQuery("guitar"), 3, &diag);
-  ASSERT_EQ(plan.singletons.size(), 1u);
+  const QueryResponse explained =
+      engine.Explain(QueryRequest::FromQuery(fx.PlaysQuery("guitar"), 3));
+  ASSERT_TRUE(explained.ok());
+  const PlanDiagnostics& diag = explained.diagnostics;
+  ASSERT_EQ(explained.plan.singletons.size(), 1u);
   EXPECT_TRUE(diag.decisions[0].has_relaxations);
   EXPECT_GT(diag.decisions[0].eq_prime_top, 0.0);
 }

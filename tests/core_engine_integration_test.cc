@@ -87,17 +87,6 @@ TEST(EngineTest, SpecQpNeverUsesMoreObjectsThanTrinit) {
   }
 }
 
-TEST(EngineTest, PlanOnlyMatchesExecutePlan) {
-  MusicFixture fx = MakeMusicFixture();
-  Engine engine(&fx.store, &fx.rules);
-  const Query query = fx.TypeQuery({"singer", "pianist"});
-  PlanDiagnostics diag;
-  const QueryPlan planned = engine.PlanOnly(query, 10, &diag);
-  const auto executed = testing::Execute(engine, query, 10, Strategy::kSpecQp);
-  EXPECT_EQ(planned.singletons, executed.plan.singletons);
-  EXPECT_EQ(planned.join_group, executed.plan.join_group);
-}
-
 TEST(EngineTest, StrategyNames) {
   EXPECT_EQ(StrategyName(Strategy::kSpecQp), "Spec-QP");
   EXPECT_EQ(StrategyName(Strategy::kTrinit), "TriniT");

@@ -170,21 +170,36 @@ TEST(SubmitTest, SerialAndParallelMinRowsOverridesKeepAnswers) {
   ExpectSameRows(expected.rows, serial_response.rows, "serial override");
 }
 
-TEST(ExplainTest, MatchesPlanOnlyAndStaticPlans) {
+TEST(ExplainTest, MatchesSubmitAndStaticPlans) {
   MusicFixture fx = MakeMusicFixture();
   Engine engine(&fx.store, &fx.rules);
+  for (const auto& names : std::vector<std::vector<std::string>>{
+           {"singer", "lyricist"}, {"singer", "pianist"}}) {
+    const Query query = fx.TypeQuery(names);
+    for (const Strategy strategy :
+         {Strategy::kSpecQp, Strategy::kTrinit, Strategy::kNoRelax}) {
+      const std::string label =
+          names[1] + "/" + std::string(StrategyName(strategy));
+      const QueryResponse explained =
+          engine.Explain(QueryRequest::FromQuery(query, 10, strategy));
+      ASSERT_TRUE(explained.ok()) << label;
+      EXPECT_TRUE(explained.rows.empty()) << label;
+      const QueryResponse submitted =
+          engine.Submit(QueryRequest::FromQuery(query, 10, strategy)).get();
+      ASSERT_TRUE(submitted.ok()) << label;
+      EXPECT_EQ(explained.plan.join_group, submitted.plan.join_group) << label;
+      EXPECT_EQ(explained.plan.singletons, submitted.plan.singletons) << label;
+      EXPECT_EQ(explained.diagnostics.decisions.size(),
+                submitted.diagnostics.decisions.size())
+          << label;
+      EXPECT_EQ(explained.diagnostics.eq_k, submitted.diagnostics.eq_k)
+          << label;
+    }
+  }
+
   const Query query = fx.TypeQuery({"singer", "lyricist"});
-
-  PlanDiagnostics diag;
-  const QueryPlan expected = engine.PlanOnly(query, 10, &diag);
-  const QueryResponse spec = engine.Explain(QueryRequest::FromQuery(query, 10));
-  ASSERT_TRUE(spec.ok());
-  EXPECT_TRUE(spec.rows.empty());
-  EXPECT_EQ(spec.plan.join_group, expected.join_group);
-  EXPECT_EQ(spec.plan.singletons, expected.singletons);
-  EXPECT_EQ(spec.diagnostics.decisions.size(), diag.decisions.size());
-  EXPECT_EQ(spec.diagnostics.eq_k, diag.eq_k);
-
+  const QueryPlan expected =
+      engine.Explain(QueryRequest::FromQuery(query, 10)).plan;
   const QueryResponse trinit = engine.Explain(
       QueryRequest::FromQuery(query, 10, Strategy::kTrinit));
   ASSERT_TRUE(trinit.ok());
